@@ -1,7 +1,7 @@
 """Core substrate: intervals, items, events, bins, and the packing driver."""
 
 from .bins import Bin, CAPACITY_EPS
-from .driver import EventStepper, bind_policy, run_events
+from .driver import EventStepper, run_events
 from .engine import (
     Collector,
     OpenBinsCollector,
@@ -58,7 +58,6 @@ __all__ = [
     "merge_intervals",
     "open_bins_timeline",
     "run_events",
-    "bind_policy",
     "EventStepper",
     "run_packing",
     "span",

@@ -1,15 +1,19 @@
 """The resource-agnostic event driver shared by every packing engine.
 
-:func:`run_events` is the *single* event loop of the repository: the
-scalar 1-D engine (:func:`repro.core.packing.run_packing`) and the
+:class:`EventStepper` holds the *single* event-loop body of the
+repository, and is the only code that mutates a packing state.
+:func:`run_events` feeds it an instance's event sequence: the scalar
+1-D engine (:func:`repro.core.packing.run_packing`) and the
 multi-dimensional engine (:func:`repro.multidim.packing.run_vector_packing`)
 are thin wrappers that build an instance-specific state and hand it to
-this loop.  The driver — not the algorithm and not the wrapper — owns
-correctness: it streams events in the canonical order (time-ordered,
-departures before arrivals at ties, instance order within a kind, as
-C-sorted tuples), validates every placement against the chosen bin's
-lifecycle and capacity, reveals departures only when they occur, and
-dispatches observers after each applied event.
+this loop, and :func:`repro.core.engine.simulate`, lazy First Fit and
+the streaming service step the same body.  The driver — not the
+algorithm and not the wrapper — owns correctness: it streams events in
+the canonical order (time-ordered, departures before arrivals at ties,
+instance order within a kind, as C-sorted tuples), validates every
+placement and migration against the chosen bin's lifecycle and
+capacity, reveals departures only when they occur, and dispatches
+observers after each applied event.
 
 The loop is generic over the *resource type* via a small structural
 protocol (see ``docs/ARCHITECTURE.md``):
@@ -19,8 +23,8 @@ protocol (see ``docs/ARCHITECTURE.md``):
   times are never revealed.
 - ``bin.index`` / ``bin.is_open`` / ``bin.fits(item)`` / ``bin.level``
   — lifecycle and feasibility on the bin side.
-- ``state.place`` / ``state.depart`` / ``state.num_open`` — the
-  mutations, implemented once in
+- ``state.place`` / ``state.depart`` / ``state.migrate`` /
+  ``state.num_open`` — the mutations, implemented once in
   :class:`~repro.core.state.BasePackingState`.
 
 Because both engines raise from the same lines below, infeasible and
@@ -34,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from .events import Event, EventKind, event_tuples
 
-__all__ = ["run_events", "bind_policy", "check_move", "EventStepper", "Observer"]
+__all__ = ["run_events", "check_move", "EventStepper", "Observer"]
 
 #: Observer callback signature: ``(event, state)`` after each event is
 #: applied.  The state is the engine-specific packing state (scalar or
@@ -44,47 +48,17 @@ __all__ = ["run_events", "bind_policy", "check_move", "EventStepper", "Observer"
 Observer = Callable[[Event, object], None]
 
 
-def bind_policy(algorithm, hook_base: type | None):
-    """Reset ``algorithm`` and resolve its per-event callables.
-
-    Returns ``(clairvoyant, choose_bin, on_placed, on_departed,
-    plan_migrations)`` where the two hooks are ``None`` when the
-    concrete class inherits them unchanged from ``hook_base`` (so
-    callers can skip the two no-op calls per event), and
-    ``plan_migrations`` is ``None`` unless the policy is
-    migration-capable (exposes a ``plan_migrations(state)`` returning
-    ``(item, target)`` moves to apply after the event).  Shared by the
-    batch loop (:func:`run_events`) and the incremental stepper
-    (:class:`EventStepper`) so both paths make identical skip decisions.
-    """
-    algorithm.reset()
-    clairvoyant = getattr(algorithm, "clairvoyant", False)
-    choose_bin = (
-        algorithm.choose_bin_clairvoyant if clairvoyant else algorithm.choose_bin
-    )
-    cls = type(algorithm)
-    if hook_base is None:
-        on_placed = algorithm.on_placed
-        on_departed = algorithm.on_departed
-    else:
-        on_placed = None if cls.on_placed is hook_base.on_placed else algorithm.on_placed
-        on_departed = (
-            None if cls.on_departed is hook_base.on_departed else algorithm.on_departed
-        )
-    plan_migrations = getattr(algorithm, "plan_migrations", None)
-    return clairvoyant, choose_bin, on_placed, on_departed, plan_migrations
-
-
 def check_move(name: str, state, item, target):
     """Validate one planned migration; returns the item's source bin.
 
-    The driver-owned counterpart of the arrival checks in the loop
-    bodies below: a migration-capable policy proposes ``(item, target)``
-    moves, and the driver — not the policy — verifies that the target is
-    a *different*, still-open bin that fits the item before mutating.
-    Shared verbatim by :func:`run_events`, :class:`EventStepper` and the
-    service defragmenter so every path refuses a bad move with the same
-    message (migrations are rare; a helper call per move is fine).
+    The driver-owned counterpart of the arrival checks in
+    :meth:`EventStepper.arrive`: a migration-capable policy proposes
+    ``(item, target)`` moves, and the driver — not the policy — verifies
+    that the target is a *different*, still-open bin that fits the item
+    before mutating.  Every move, event-coupled or from the service
+    defragmenter, passes through :meth:`EventStepper.apply_migrations`
+    and so through here (migrations are rare; a helper call per move is
+    fine).
     """
     src = state.bins[state.item_bin[item.item_id]]
     if target is src:
@@ -102,21 +76,25 @@ def check_move(name: str, state, item, target):
 
 
 class EventStepper:
-    """One-event-at-a-time interface to the unified driver.
+    """One-event-at-a-time driver: the only code that mutates a packing state.
 
-    The streaming service (:mod:`repro.service`) cannot hand the driver
-    a materialised item list — jobs are pushed one at a time — so this
-    class exposes the loop *body* of :func:`run_events` as two methods,
-    :meth:`arrive` and :meth:`depart`.  Feeding the stepper the canonical
-    event sequence of an instance must reproduce a batch run bit for
-    bit: same placements, same validation, identical error messages,
-    same observer dispatch (pinned by
-    ``tests/service/test_stream_differential.py``).
+    :meth:`arrive`, :meth:`depart` and :meth:`apply_migrations` are the
+    loop body of every replay path in the repository: the batch loop
+    (:func:`run_events`), the snapshot generator
+    (:func:`repro.core.engine.simulate`), lazy First Fit
+    (:func:`repro.deferral.run_deferred_first_fit`) and the streaming
+    service (:mod:`repro.service`), which pushes jobs one at a time.
+    Feeding the stepper an instance's canonical event sequence *is* a
+    batch run: same placements, same validation, same error messages,
+    same observer dispatch.
 
-    :func:`run_events` keeps its own inlined copy of these bodies — the
-    batch loop is the throughput baseline and must not pay a method
-    call per event — but both are built on :func:`bind_policy`, and any
-    behavioural edit to one must land in the other.
+    The constructor resets ``algorithm`` and resolves its per-event
+    callables once.  ``on_placed``/``on_departed`` are skipped when the
+    concrete class inherits them unchanged from ``hook_base`` (most
+    policies keep no per-placement state; ``None`` always calls), and a
+    migration-capable policy — one exposing ``plan_migrations(state)``
+    returning ``(item, target)`` moves — is asked for a plan after every
+    event.
 
     ``fault_hook`` is the chaos-testing seam: when set (by the fault
     injection harness, :mod:`repro.service.faults`), it is called with
@@ -126,15 +104,8 @@ class EventStepper:
     — so crash-recovery tests can kill the engine *inside* an event,
     between the WAL append and the state mutation, or between the
     mutation and the acknowledgement.  ``None`` (the default) costs one
-    attribute test per step; the batch loop is untouched.
+    attribute read per step.
     """
-
-    #: set to a callable(name) to arm the named kill-points
-    fault_hook = None
-    #: set to a callable(item, src, target) to observe each applied
-    #: migration (the streaming engine counts moves and bills bins that
-    #: close by evacuation through this seam)
-    migration_hook = None
 
     def __init__(
         self,
@@ -143,23 +114,40 @@ class EventStepper:
         observers: Sequence[Observer] = (),
         hook_base: type | None = None,
     ):
+        algorithm.reset()
+        #: set to a callable(name) to arm the named kill-points (an
+        #: instance attribute: read once per step on the hot path)
+        self.fault_hook = None
+        #: set to a callable(item, src, target) to observe each applied
+        #: migration (the streaming engine counts moves and bills bins
+        #: that close by evacuation through this seam)
+        self.migration_hook = None
         self.algorithm = algorithm
         self.state = state
         self.observers = tuple(observers)
-        (
-            self.clairvoyant,
-            self._choose_bin,
-            self._on_placed,
-            self._on_departed,
-            self._plan_migrations,
-        ) = bind_policy(algorithm, hook_base)
+        self.clairvoyant = getattr(algorithm, "clairvoyant", False)
+        self._choose_bin = (
+            algorithm.choose_bin_clairvoyant if self.clairvoyant else algorithm.choose_bin
+        )
+        cls = type(algorithm)
+        self._on_placed = algorithm.on_placed
+        self._on_departed = algorithm.on_departed
+        if hook_base is not None:
+            if cls.on_placed is hook_base.on_placed:
+                self._on_placed = None
+            if cls.on_departed is hook_base.on_departed:
+                self._on_departed = None
+        self._plan_migrations = getattr(algorithm, "plan_migrations", None)
 
     def arrive(self, time: float, seq: int, item):
         """Apply one arrival; returns the bin the item was placed in."""
-        if self.fault_hook is not None:
-            self.fault_hook("arrive.pre")
+        fault_hook = self.fault_hook
+        if fault_hook is not None:
+            fault_hook("arrive.pre")
         state = self.state
         state.now = time
+        # clairvoyant policies (known-departure model) receive the full
+        # item; everyone else sees only the demand
         target = self._choose_bin(state, item if self.clairvoyant else item.size)
         if target is not None:
             if not target.is_open:
@@ -175,32 +163,37 @@ class EventStepper:
         if self._on_placed is not None:
             self._on_placed(state, placed, item.size)
         if self._plan_migrations is not None:
-            self.apply_migrations(self._plan_migrations(state))
+            moves = self._plan_migrations(state)
+            if moves:
+                self.apply_migrations(moves)
         if self.observers:
             event = Event(time, EventKind.ARRIVE, seq, item)
             for obs in self.observers:
                 obs(event, state)
-        if self.fault_hook is not None:
-            self.fault_hook("arrive.post")
+        if fault_hook is not None:
+            fault_hook("arrive.post")
         return placed
 
     def depart(self, time: float, seq: int, item):
         """Apply one departure; returns the bin the item left (may be closed)."""
-        if self.fault_hook is not None:
-            self.fault_hook("depart.pre")
+        fault_hook = self.fault_hook
+        if fault_hook is not None:
+            fault_hook("depart.pre")
         state = self.state
         state.now = time
         source = state.depart(item)
         if self._on_departed is not None:
             self._on_departed(state, source)
         if self._plan_migrations is not None:
-            self.apply_migrations(self._plan_migrations(state))
+            moves = self._plan_migrations(state)
+            if moves:
+                self.apply_migrations(moves)
         if self.observers:
             event = Event(time, EventKind.DEPART, seq, item)
             for obs in self.observers:
                 obs(event, state)
-        if self.fault_hook is not None:
-            self.fault_hook("depart.post")
+        if fault_hook is not None:
+            fault_hook("depart.post")
         return source
 
     def apply_migrations(self, moves) -> int:
@@ -260,46 +253,14 @@ def run_events(
         Callbacks invoked after every applied event.
     hook_base:
         The algorithm base class whose ``on_placed``/``on_departed`` are
-        known no-ops.  Most policies keep no per-placement state, so the
-        driver skips the two callback calls per event unless the
-        concrete class actually overrides them.  ``None`` always calls.
+        known no-ops (see :class:`EventStepper`).  ``None`` always calls.
     """
-    clairvoyant, choose_bin, on_placed, on_departed, plan_migrations = bind_policy(
-        algorithm, hook_base
-    )
-    place = state.place
-    depart = state.depart
-
+    stepper = EventStepper(algorithm, state, observers, hook_base)
+    arrive = stepper.arrive
+    depart = stepper.depart
     for time, kind, seq, item in event_tuples(items):
-        state.now = time
         if kind:  # EventKind.ARRIVE
-            # clairvoyant policies (known-departure model) receive the
-            # full item; everyone else sees only the demand
-            target = choose_bin(state, item if clairvoyant else item.size)
-            if target is not None:
-                if not target.is_open:
-                    raise RuntimeError(
-                        f"{algorithm.name} chose closed bin {target.index}"
-                    )
-                if not target.fits(item):
-                    raise RuntimeError(
-                        f"{algorithm.name} chose bin {target.index} at level "
-                        f"{target.level} for item of size {item.size}"
-                    )
-            placed = place(item, target)
-            if on_placed is not None:
-                on_placed(state, placed, item.size)
+            arrive(time, seq, item)
         else:
-            source = depart(item)
-            if on_departed is not None:
-                on_departed(state, source)
-        if plan_migrations is not None:
-            for m_item, m_target in plan_migrations(state):
-                check_move(algorithm.name, state, m_item, m_target)
-                state.migrate(m_item, m_target)
-        if observers:
-            event = Event(time, EventKind(kind), seq, item)
-            for obs in observers:
-                obs(event, state)
-
-    assert state.num_open == 0, "all bins must be closed after the last departure"
+            depart(time, seq, item)
+    stepper.finish()

@@ -1,8 +1,9 @@
 """Step-wise simulation engine with pluggable statistics collectors.
 
-``run_packing`` is a batch driver; :func:`simulate` exposes the same
-event replay as a generator of :class:`Snapshot` objects so callers can
-watch the system evolve (dashboards, autoscaling logic, early stopping).
+``run_packing`` is a batch driver; :func:`simulate` steps the same
+:class:`~repro.core.driver.EventStepper` and yields a :class:`Snapshot`
+after each event, so callers can watch the system evolve (dashboards,
+autoscaling logic, early stopping).
 Collectors accumulate time-series without the caller writing observer
 plumbing.
 """
@@ -10,13 +11,14 @@ plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..algorithms.base import PackingAlgorithm
 
-from .events import Event, EventKind, event_sequence
-from .items import ItemList
+from .driver import EventStepper
+from .events import Event, EventKind, event_tuples
+from .items import Item, ItemList
 from .state import PackingState
 
 __all__ = [
@@ -48,39 +50,41 @@ class Snapshot:
 
 
 def simulate(
-    items: ItemList, algorithm: "PackingAlgorithm", indexed: bool = True
+    items: ItemList | Iterable[Item],
+    algorithm: "PackingAlgorithm",
+    indexed: bool = True,
 ) -> Iterator[Snapshot]:
     """Yield a :class:`Snapshot` after every applied event.
 
-    The generator drives the same logic as
-    :func:`repro.core.packing.run_packing`; exhausting it leaves all
-    bins closed.  (For the final `PackingResult`, use ``run_packing`` —
-    this API is for streaming consumers.)  Snapshots read the state's
+    The generator steps the same :class:`~repro.core.driver.EventStepper`
+    as :func:`repro.core.packing.run_packing` — placement validation and
+    migration plans included — so its snapshots are the batch run's
+    states, event by event.  ``items`` is taken as ``run_packing`` takes
+    it (a plain iterable is wrapped in an :class:`ItemList`); exhausting
+    the generator leaves all bins closed.  Snapshots read the state's
     incrementally maintained :attr:`~PackingState.total_level`, so each
-    one is O(1) instead of a re-sum over all open bins.
+    one is O(1).
     """
-    algorithm.reset()
+    if not isinstance(items, ItemList):
+        items = ItemList(items)
+    # deferred import: algorithms.base imports core.state (cycle guard)
+    from ..algorithms.base import PackingAlgorithm as _Base
+
     state = PackingState(capacity=items.capacity, indexed=indexed)
-    clairvoyant = getattr(algorithm, "clairvoyant", False)
-    for event in event_sequence(items):
-        state.now = event.time
-        if event.kind is EventKind.ARRIVE:
-            if clairvoyant:
-                target = algorithm.choose_bin_clairvoyant(state, event.item)
-            else:
-                target = algorithm.choose_bin(state, event.item.size)
-            placed = state.place(event.item, target)
-            algorithm.on_placed(state, placed, event.item.size)
+    stepper = EventStepper(algorithm, state, hook_base=_Base)
+    for time, kind, seq, item in event_tuples(items):
+        if kind:  # EventKind.ARRIVE
+            stepper.arrive(time, seq, item)
         else:
-            source = state.depart(event.item)
-            algorithm.on_departed(state, source)
+            stepper.depart(time, seq, item)
         yield Snapshot(
-            time=event.time,
-            event=event,
+            time=time,
+            event=Event(time, EventKind(kind), seq, item),
             num_open_bins=state.num_open,
             num_bins_used=state.num_bins_used,
             total_level=state.total_level,
         )
+    stepper.finish()
 
 
 class Collector:

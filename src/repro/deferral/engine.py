@@ -14,8 +14,11 @@ is *lazy first fit*:
 - otherwise queue the job (FIFO) and retry after every departure;
 - at the patience deadline, place unconditionally (new bin if needed).
 
-``max_delay = 0`` reproduces plain First Fit exactly (asserted in
-tests).  Experiment X9 sweeps the patience window and reports the
+Placements and departures step the shared
+:class:`~repro.core.driver.EventStepper` under a :class:`FirstFit`
+policy, so lazy FF is validated like every other replay; only the
+deadline heap and the retry queue are its own.  ``max_delay = 0``
+reproduces plain First Fit exactly (asserted in tests).  Experiment X9 sweeps the patience window and reports the
 cost/waiting frontier.
 """
 
@@ -26,6 +29,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..algorithms.base import PackingAlgorithm
+from ..algorithms.first_fit import FirstFit
+from ..core.driver import EventStepper
 from ..core.items import Item, ItemList
 from ..core.result import PackingResult
 from ..core.state import PackingState
@@ -80,6 +86,7 @@ def run_deferred_first_fit(
         jobs = ItemList(jobs, capacity=capacity)
 
     state = PackingState(capacity=capacity)
+    stepper = EventStepper(FirstFit(), state, hook_base=PackingAlgorithm)
     counter = itertools.count()
     heap: list[tuple[float, int, int, object]] = []
     for it in jobs:
@@ -90,12 +97,10 @@ def run_deferred_first_fit(
     waits: dict[int, float] = {}
 
     def try_place(original: Item, now: float, force: bool) -> bool:
-        fitting = state.open_bins_fitting(original.size)
-        if not fitting and not force:
+        if not force and state.first_fit_bin(original.size) is None:
             return False
-        target = fitting[0] if fitting else None
         shifted = Item(original.item_id, original.size, now, now + original.duration)
-        placed = state.place(shifted, target)
+        stepper.arrive(now, original.item_id, shifted)
         placed_items[original.item_id] = shifted
         waits[original.item_id] = now - original.arrival
         heapq.heappush(
@@ -120,10 +125,9 @@ def run_deferred_first_fit(
             break
 
     while heap:
-        time, kind, _seq, payload = heapq.heappop(heap)
-        state.now = time
+        time, kind, seq, payload = heapq.heappop(heap)
         if kind == _DEPART:
-            state.depart(payload)
+            stepper.depart(time, seq, payload)
             drain_queue(time)
         elif kind == _ARRIVE:
             item = payload
@@ -146,7 +150,7 @@ def run_deferred_first_fit(
                 try_place(item, time, force=True)
                 drain_queue(time)
 
-    assert state.num_open == 0
+    stepper.finish()
     shifted_list = ItemList(
         (placed_items[it.item_id] for it in jobs), capacity=capacity
     )

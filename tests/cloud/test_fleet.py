@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms import FirstFit
 from repro.cloud.billing import ContinuousBilling, HourlyBilling
 from repro.cloud.fleet import (
     DEFAULT_FLEET_CATALOGUE,
@@ -12,7 +13,9 @@ from repro.cloud.fleet import (
 )
 from repro.cloud.server import InstanceType
 from repro.core.items import Item, ItemList
+from repro.core.packing import run_packing
 from repro.workloads.gaming import gaming_workload
+from repro.workloads.random_workloads import poisson_workload
 
 
 def jobs(*tuples):
@@ -114,3 +117,21 @@ class TestFleetDispatcher:
             for _, delta in events:
                 level += delta
                 assert level <= s.instance_type.capacity + 1e-9
+
+
+class TestSingleTypeEqualsFirstFit:
+    """A one-type unit catalogue is the paper's model: the fleet is First Fit.
+
+    Pins the fleet's bespoke loop to the shared driver's packing, so the
+    dispatcher can later move onto it without changing a placement.
+    """
+
+    @pytest.mark.parametrize("rate", [2.0, 20.0, 200.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_servers_and_usage_time(self, seed, rate):
+        items = poisson_workload(300, seed=seed, arrival_rate=rate)
+        report = FleetDispatcher((InstanceType("m", 1.0, 1.0),)).dispatch(items)
+        ff = run_packing(items, FirstFit())
+        fleet_map = {j: s.server_id for s in report.servers for j in s.jobs}
+        assert fleet_map == ff.item_bin
+        assert report.total_usage_time == pytest.approx(ff.total_usage_time, rel=1e-12)

@@ -18,18 +18,23 @@ packing anywhere:
    both engines are the same driver over the same comparisons, so a
    D=1 vector instance is literally a scalar instance.
 
-Plus a structural test: :mod:`repro.multidim.packing` must contain no
-event loop of its own — the unified driver is the only one.
+Plus structural tests: :mod:`repro.multidim.packing` must contain no
+event loop of its own, and across ``src/repro`` only
+:class:`~repro.core.driver.EventStepper` mutates a packing state — the
+unified driver's loop body is the only one.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import repro
+import repro.core.driver as driver_mod
 import repro.core.state as state_mod
 import repro.multidim.packing as vector_packing_mod
 from repro.algorithms import make_algorithm
@@ -163,6 +168,61 @@ def test_vector_packing_module_has_no_event_loop():
     assert "event_sequence" not in source
     assert "EventKind.ARRIVE" not in source
     assert "heapq" not in source
+
+
+_MUTATIONS = {"place", "depart", "migrate"}
+
+
+def _state_mutations(path: Path):
+    """``(method, enclosing class)`` for each ``<...state>.place/depart/migrate``.
+
+    Catches calls and bound-method aliases (``place = state.place``)
+    alike; a receiver counts as a packing state when its source text
+    ends in ``state`` (``state``, ``self.state``, ``self._state``, ...).
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in _MUTATIONS
+                and ast.unparse(child.value).endswith("state")
+            ):
+                found.append((child.attr, cls))
+            visit(child, cls)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_event_stepper_mutates_packing_state():
+    """One loop body: every replay path steps ``EventStepper``.
+
+    Outside :mod:`repro.core.driver` no module may place, depart or
+    migrate on a packing state, and inside it each mutation appears
+    exactly once, in ``EventStepper`` — so a second, drifting copy of
+    the loop body (the old inlined ``run_events``, ``simulate``'s own
+    loop, lazy FF's direct placements) cannot come back.
+    """
+    root = Path(repro.__file__).parent
+    driver_path = Path(driver_mod.__file__)
+    for path in sorted(root.rglob("*.py")):
+        if path == driver_path:
+            continue
+        assert _state_mutations(path) == [], path.relative_to(root)
+    assert sorted(_state_mutations(driver_path)) == [
+        ("depart", "EventStepper"),
+        ("migrate", "EventStepper"),
+        ("place", "EventStepper"),
+    ]
+    fn = ast.parse(inspect.getsource(driver_mod.run_events)).body[0]
+    batch = "\n".join(ast.unparse(stmt) for stmt in fn.body[1:])  # sans docstring
+    assert "EventStepper(" in batch
+    assert "choose_bin" not in batch and "RuntimeError" not in batch
 
 
 def test_open_set_is_ordered_dict_with_o1_close():
